@@ -14,12 +14,12 @@ namespace baselines {
 namespace {
 
 /// Quantized first pass of a full scan: scores all n rows on the int8 codes
-/// (contiguous, heap-resident) and keeps the best k' live rows, ascending.
+/// (contiguous, heap-resident) and keeps the best k' rows, ascending.
 /// Shared by Query and QueryBatch so both produce the identical pruned set.
 std::vector<int32_t> QuantizedSweep(const storage::QuantizedStore& qs,
                                     const storage::QuantizedStore::PreparedQuery& pq,
-                                    size_t row_offset, size_t n, size_t keep,
-                                    const uint8_t* deleted) {
+                                    size_t row_offset, size_t n,
+                                    size_t keep) {
   storage::RerankSelector selector(keep);
   // Block the contiguous sweep so the score buffer stays cache-resident.
   constexpr size_t kBlock = 4096;
@@ -29,9 +29,7 @@ std::vector<int32_t> QuantizedSweep(const storage::QuantizedStore& qs,
     qs.ScoreCandidates(pq, /*ids=*/nullptr, len, row_offset + row,
                        scores.data());
     for (size_t i = 0; i < len; ++i) {
-      const size_t id = row + i;
-      if (deleted != nullptr && deleted[id] != 0) continue;
-      selector.Offer(scores[i], static_cast<int32_t>(id));
+      selector.Offer(scores[i], static_cast<int32_t>(row + i));
     }
   }
   return selector.TakeAscendingIds();
@@ -64,8 +62,7 @@ std::vector<util::Neighbor> LinearScan::Query(const float* query,
     // k' survivors' exact rows. Turns an O(n) disk sweep into an O(n)
     // in-RAM sweep plus k' faults for an mmap-backed store.
     const std::vector<int32_t> pruned = QuantizedSweep(
-        *qs, qs->Prepare(query), qoff, n, storage::RerankKeep(k),
-        deleted_rows());
+        *qs, qs->Prepare(query), qoff, n, storage::RerankKeep(k));
     storage::ExactRerank(*store_, metric_, query, pruned.data(),
                          pruned.size(), topk);
     return topk.Sorted();
@@ -76,7 +73,7 @@ std::vector<util::Neighbor> LinearScan::Query(const float* query,
     const size_t len = std::min(block, n - row);
     store_->PrefetchRange(row, len);
     util::VerifyCandidates(metric_, base, d, query, /*ids=*/nullptr, len,
-                           topk, static_cast<int32_t>(row), deleted_rows());
+                           topk, static_cast<int32_t>(row));
   }
   return topk.Sorted();
 }
@@ -90,7 +87,6 @@ std::vector<std::vector<util::Neighbor>> LinearScan::QueryBatch(
   const util::Metric metric = metric_;
   const float* base = store_->data();
   const storage::VectorStore& rows = *store_;
-  const uint8_t* deleted = deleted_rows();
   size_t qoff = 0;
   const storage::QuantizedStore* qs =
       storage::ActiveQuantized(store_.get(), metric_, &qoff);
@@ -104,7 +100,7 @@ std::vector<std::vector<util::Neighbor>> LinearScan::QueryBatch(
           for (size_t q = begin; q < end; ++q) {
             const std::vector<int32_t> pruned = QuantizedSweep(
                 *qs, qs->Prepare(queries + q * d), qoff, n,
-                storage::RerankKeep(k), deleted);
+                storage::RerankKeep(k));
             util::TopK topk(k);
             storage::ExactRerank(rows, metric, queries + q * d,
                                  pruned.data(), pruned.size(), topk);
@@ -134,7 +130,7 @@ std::vector<std::vector<util::Neighbor>> LinearScan::QueryBatch(
           for (size_t q = begin; q < end; ++q) {
             util::VerifyCandidates(metric, base, d, queries + q * d,
                                    /*ids=*/nullptr, len, heaps[q - begin],
-                                   static_cast<int32_t>(row), deleted);
+                                   static_cast<int32_t>(row));
           }
         }
         for (size_t q = begin; q < end; ++q) {

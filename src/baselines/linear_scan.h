@@ -21,9 +21,6 @@ class LinearScan : public AnnIndex {
   /// its whole chunk of queries (base row outer, query inner), so every
   /// loaded row is reused across the chunk instead of being re-streamed per
   /// query. Point order per query is unchanged, so results stay identical.
-  /// Tombstone-aware like Query: rows masked by set_deleted_filter are
-  /// skipped inside each block, so a filtered batch equals a scan over the
-  /// surviving points only (the exact oracle for dynamic-index recall).
   std::vector<std::vector<util::Neighbor>> QueryBatch(
       const float* queries, size_t num_queries, size_t k,
       size_t num_threads = 0) const override;

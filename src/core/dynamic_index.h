@@ -37,11 +37,13 @@ namespace core {
 ///     inserted since, answered by brute force with the batched SIMD
 ///     verifier (util::VerifyCandidates makes a few thousand rows
 ///     essentially free next to the probing cost);
-///   * **tombstones** carrying the version of the mutation that set them.
-///     Epoch rows already dead at install sit in a frozen base bitmap the
-///     wrapped index filters through AnnIndex::set_deleted_filter; removes
-///     after the install — epoch or delta — stamp a per-row atomic version
-///     instead, so any point in mutation history can still be read.
+///   * **tombstones**: per-row atomic version stamps, on epoch and delta
+///     rows alike, so any point in mutation history can still be read. A
+///     remove stamps its own mutation version; epoch rows whose removes
+///     raced the consolidation that built them are stamped at install. The
+///     wrapped index never learns of deletion: each snapshot query asks it
+///     for k plus the number of stamped epoch rows and drops the stamped
+///     ones afterwards (core::Snapshot).
 ///
 /// Reads are MVCC snapshots: AcquireSnapshot() captures the epoch
 /// shared_ptr, the delta buffer shared_ptr, the delta prefix length and the
@@ -57,8 +59,9 @@ namespace core {
 /// ranking an index over the surviving points would produce (the
 /// oracle-equivalence property tests/test_dynamic_index.cc locks down).
 ///
-/// When the delta outgrows Options::rebuild_threshold (or accumulated
-/// epoch tombstones do — they widen every snapshot's over-fetch margin), an
+/// When the delta outgrows Options::rebuild_threshold (or the epoch rows
+/// removed since the install do — they widen every snapshot's over-fetch
+/// margin), an
 /// **epoch rebuild** consolidates survivors into a fresh static index on a
 /// dedicated background thread: the heavy build runs from an immutable
 /// capture without blocking anything, queries keep being served from the
@@ -81,9 +84,8 @@ class DynamicIndex : public baselines::AnnIndex {
  public:
   /// Creates the epoch index for a snapshot. Called once per consolidation
   /// with no arguments; the returned index is then Built over the snapshot
-  /// dataset. The index must honor set_deleted_filter (every index in this
-  /// repository routes verification through util::VerifyCandidates and
-  /// does).
+  /// dataset. Any AnnIndex works: deletion is handled entirely by this
+  /// wrapper, and the index only ever answers plain top-k queries.
   using Factory = std::function<std::unique_ptr<baselines::AnnIndex>()>;
 
   struct Options {
@@ -148,15 +150,8 @@ class DynamicIndex : public baselines::AnnIndex {
   /// Tombstones the point with global id `id`; returns false when the id
   /// was never assigned or is already deleted. O(1): the static epoch is
   /// not touched until the next consolidation. May trigger a background
-  /// consolidation once enough epoch rows are stamped.
+  /// consolidation once enough epoch rows are removed since the install.
   bool Remove(int32_t id) override;
-
-  /// Refused (throws std::runtime_error for a non-null bitmap): this index
-  /// manages its own tombstones via Remove, and an external bitmap indexed
-  /// by this wrapper's global ids would silently conflict with them.
-  /// Accepting it quietly would break the honor-the-filter contract every
-  /// other AnnIndex keeps, so the conflict fails loudly instead.
-  void set_deleted_filter(const std::vector<uint8_t>* deleted) override;
 
   size_t dim() const override;
   size_t IndexSizeBytes() const override;
@@ -196,9 +191,6 @@ class DynamicIndex : public baselines::AnnIndex {
     size_t epoch_rows = 0;      ///< rows in the static snapshot
     size_t delta_rows = 0;      ///< delta rows (live + tombstoned)
     size_t tombstones = 0;      ///< tombstones not yet consolidated away
-    /// Epoch rows stamped since the install — the over-fetch margin every
-    /// snapshot query currently pays (consolidation resets it).
-    size_t epoch_stamped = 0;
     uint64_t epoch_sequence = 0;
     uint64_t version = 0;       ///< mutations applied so far
     bool rebuild_in_flight = false;
@@ -242,7 +234,7 @@ class DynamicIndex : public baselines::AnnIndex {
       std::istream&, const dataset::Dataset&)>;
 
   /// Streams the full mutable state — epoch snapshot, global ids, both
-  /// tombstone regions (version stamps collapse to plain bitmap bytes; a
+  /// tombstone regions (version stamps collapse to one byte per row; a
   /// save has a single version, the present), the delta buffer and the id
   /// counter — under the reader lock, delegating the wrapped index's
   /// payload to `writer`.
@@ -272,8 +264,8 @@ class DynamicIndex : public baselines::AnnIndex {
   };
 
   /// Builds an EpochState over the store behind `rows` (global-id
-  /// ascending) via the factory and installs the deleted filter. Static so
-  /// the background task can run it without touching any member state.
+  /// ascending) via the factory, every row unstamped. Static so the
+  /// background task can run it without touching any member state.
   static std::shared_ptr<EpochState> BuildEpoch(const Factory& factory,
                                                 util::Metric metric,
                                                 size_t dim,
@@ -325,7 +317,10 @@ class DynamicIndex : public baselines::AnnIndex {
   std::unordered_map<int32_t, Location> live_;
   int32_t next_id_ = 0;
   uint64_t version_ = 0;        ///< mutations applied (stamp source)
-  size_t epoch_removed_ = 0;    ///< epoch rows stamped since install
+  /// Stamped epoch rows — dead at install plus removed since: the
+  /// over-fetch margin every snapshot query pays.
+  size_t epoch_stamped_ = 0;
+  size_t epoch_removed_ = 0;    ///< epoch rows removed since install
   uint64_t epoch_sequence_ = 0;
 
   /// Rebuild coordination. Never held while acquiring mutex_.

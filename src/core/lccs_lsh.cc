@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cassert>
-#include <cstdlib>
 #include <utility>
 
 #include "storage/quantized_store.h"
@@ -14,39 +13,31 @@ namespace core {
 
 namespace {
 
-/// First pass of two-phase verification: scores every live candidate on the
+/// First pass of two-phase verification: scores every candidate on the
 /// store's quantized sibling (heap-resident int8 codes — no disk faults) and
 /// keeps the best k' = RerankKeep(k) ids, returned ascending so the exact
 /// rerank scores them in a deterministic order. Returns false — caller runs
 /// the classic exact-only path — when no quantized tier is active or the
-/// live candidate list is not larger than k' (then pruning could only drop
+/// candidate list is not larger than k' (then pruning could only drop
 /// candidates the exact pass would have scored anyway, so the quantized and
 /// exact paths degenerate to the same verification).
 bool QuantizedPrune(const storage::VectorStore& store, util::Metric metric,
                     const float* query,
-                    const std::vector<LccsCandidate>& cands,
-                    const uint8_t* deleted, size_t k,
+                    const std::vector<LccsCandidate>& cands, size_t k,
                     std::vector<int32_t>* pruned) {
   size_t row_offset = 0;
   const storage::QuantizedStore* qs =
       storage::ActiveQuantized(&store, metric, &row_offset);
   if (qs == nullptr || k == 0) return false;
   const size_t keep = storage::RerankKeep(k);
-  std::vector<int32_t> live;
-  live.reserve(cands.size());
-  for (const LccsCandidate& c : cands) {
-    if (deleted != nullptr && deleted[c.id] != 0) continue;
-    live.push_back(c.id);
-  }
-  if (live.size() <= keep) return false;
+  if (cands.size() <= keep) return false;
+  std::vector<int32_t> ids(cands.size());
+  for (size_t i = 0; i < cands.size(); ++i) ids[i] = cands[i].id;
   const storage::QuantizedStore::PreparedQuery pq = qs->Prepare(query);
-  std::vector<float> scores(live.size());
-  qs->ScoreCandidates(pq, live.data(), live.size(), row_offset,
-                      scores.data());
+  std::vector<float> scores(ids.size());
+  qs->ScoreCandidates(pq, ids.data(), ids.size(), row_offset, scores.data());
   storage::RerankSelector selector(keep);
-  for (size_t i = 0; i < live.size(); ++i) {
-    selector.Offer(scores[i], live[i]);
-  }
+  for (size_t i = 0; i < ids.size(); ++i) selector.Offer(scores[i], ids[i]);
   *pruned = selector.TakeAscendingIds();
   return true;
 }
@@ -101,14 +92,6 @@ void LccsLsh::AttachPrebuilt(const float* data, size_t n, size_t d,
   AttachPrebuilt(storage::WrapBorrowed(data, n, d), std::move(csa));
 }
 
-void LccsLsh::set_deleted_filter(const std::vector<uint8_t>* deleted) {
-  deleted_ = deleted;
-  deleted_count_ = 0;
-  if (deleted != nullptr) {
-    for (const uint8_t bit : *deleted) deleted_count_ += (bit != 0) ? 1 : 0;
-  }
-}
-
 std::unique_ptr<LccsLsh::QueryScratch> LccsLsh::MakeScratch() const {
   return std::make_unique<QueryScratch>();
 }
@@ -148,11 +131,9 @@ std::vector<util::Neighbor> LccsLsh::Query(const float* query, size_t k,
   AppendCandidates(query, scratch->hash.data(), CandidateBudget(k, lambda),
                    scratch.get(), &candidates);
   std::vector<int32_t> ids;
-  if (QuantizedPrune(*store_, metric_, query, candidates, deleted_rows(), k,
-                     &ids)) {
+  if (QuantizedPrune(*store_, metric_, query, candidates, k, &ids)) {
     // Two-phase path: only the k' survivors' exact rows are touched — in
-    // place for heap stores, via a copy gather for budget-mapped ones. The
-    // pruned list is already tombstone-filtered.
+    // place for heap stores, via a copy gather for budget-mapped ones.
     util::TopK topk(k);
     storage::ExactRerank(*store_, metric_, query, ids.data(), ids.size(),
                          topk);
@@ -163,7 +144,7 @@ std::vector<util::Neighbor> LccsLsh::Query(const float* query, size_t k,
   store_->PrefetchRows(ids.data(), ids.size());
   util::TopK topk(k);
   util::VerifyCandidates(metric_, store_->data(), d_, query, ids.data(),
-                         ids.size(), topk, /*first_id=*/0, deleted_rows());
+                         ids.size(), topk);
   return topk.Sorted();
 }
 
@@ -175,7 +156,6 @@ std::vector<std::vector<util::Neighbor>> LccsLsh::QueryBatch(
   assert(store_ != nullptr);
   const size_t m = family_->num_functions();
   const size_t count = CandidateBudget(k, lambda);
-  const uint8_t* deleted = deleted_rows();
 
   // Phase 1: hash the whole window in one ParallelFor pass.
   std::vector<HashValue> hashes(num_queries * m);
@@ -196,11 +176,7 @@ std::vector<std::vector<util::Neighbor>> LccsLsh::QueryBatch(
   // one. Per query the iterations are identical, so each query's list still
   // preserves the sequential surfacing order — that order is replayed in
   // phase 5, so TopK tie-breaking matches per-query Query.
-  static const size_t kInterleave = [] {
-    const char* env = std::getenv("LCCS_BATCH_INTERLEAVE");
-    const long v = env != nullptr ? std::atol(env) : 0;
-    return v >= 1 ? static_cast<size_t>(v) : size_t{8};
-  }();
+  constexpr size_t kInterleave = 8;
   std::vector<std::vector<LccsCandidate>> cands(num_queries);
   util::ParallelFor(
       num_queries,
@@ -228,9 +204,9 @@ std::vector<std::vector<util::Neighbor>> LccsLsh::QueryBatch(
 
   // Phase 2.5: quantized first-pass prune. When the store carries an active
   // quantized sibling, each query's candidate list is rewritten to its k'
-  // survivors (ascending ids, tombstones already dropped) before the exact
-  // phases — so the blocked gather below faults only survivor rows, exactly
-  // like the per-query two-phase path. The rewrite preserves the
+  // survivors (ascending ids) before the exact phases — so the blocked
+  // gather below faults only survivor rows, exactly like the per-query
+  // two-phase path. The rewrite preserves the
   // Query ≡ QueryBatch identity: both paths verify the same pruned set in
   // the same ascending order.
   util::ParallelFor(
@@ -239,7 +215,7 @@ std::vector<std::vector<util::Neighbor>> LccsLsh::QueryBatch(
         std::vector<int32_t> pruned;
         for (size_t q = begin; q < end; ++q) {
           if (!QuantizedPrune(*store_, metric_, queries + q * d_, cands[q],
-                              deleted, k, &pruned)) {
+                              k, &pruned)) {
             continue;
           }
           std::vector<LccsCandidate> replaced(pruned.size());
@@ -251,9 +227,9 @@ std::vector<std::vector<util::Neighbor>> LccsLsh::QueryBatch(
       },
       num_threads);
 
-  // Phase 3: dedup the union of live candidate ids across the window and
+  // Phase 3: dedup the union of candidate ids across the window and
   // advise the store once — an mmap-resident base set faults each candidate
-  // page once per window instead of once per query. Each query's live
+  // page once per window instead of once per query. Each query's
   // candidates are then counting-sorted into cache-block-major order
   // (block = id / rows_per_block over the id space): O(candidates) per
   // query, and phase 4 reads each (query, block) run straight from the
@@ -274,14 +250,13 @@ std::vector<std::vector<util::Neighbor>> LccsLsh::QueryBatch(
   std::vector<double> dists(total);
   // block_off row q: after the place pass, query q's block b run sits at
   // [b == 0 ? 0 : row[b-1], row[b]) within the query's region; row
-  // [num_blocks] stays the query's live-candidate count.
+  // [num_blocks] stays the query's candidate count.
   std::vector<int32_t> block_off((num_blocks + 1) * num_queries, 0);
   for (size_t q = 0; q < num_queries; ++q) {
     const std::vector<LccsCandidate>& list = cands[q];
     int32_t* boff = block_off.data() + q * (num_blocks + 1);
     for (size_t s = 0; s < list.size(); ++s) {
       const int32_t id = list[s].id;
-      if (deleted != nullptr && deleted[id] != 0) continue;
       ++boff[static_cast<size_t>(id) / rows_per_block + 1];
       if (!in_union[static_cast<size_t>(id)]) {
         in_union[static_cast<size_t>(id)] = 1;
@@ -291,7 +266,6 @@ std::vector<std::vector<util::Neighbor>> LccsLsh::QueryBatch(
     for (size_t b = 1; b <= num_blocks; ++b) boff[b] += boff[b - 1];
     for (size_t s = 0; s < list.size(); ++s) {
       const int32_t id = list[s].id;
-      if (deleted != nullptr && deleted[id] != 0) continue;
       const size_t b = static_cast<size_t>(id) / rows_per_block;
       const size_t pos = static_cast<size_t>(boff[b]++);
       blocked_ids[offsets[q] + pos] = id;
@@ -326,8 +300,8 @@ std::vector<std::vector<util::Neighbor>> LccsLsh::QueryBatch(
       num_threads);
 
   // Phase 5: replay each query's TopK pushes in the original candidate
-  // order, skipping tombstoned rows — exactly the push sequence
-  // VerifyCandidates would have produced for the per-query path.
+  // order — exactly the push sequence VerifyCandidates would have produced
+  // for the per-query path.
   util::ParallelFor(
       num_queries,
       [&](size_t begin, size_t end) {
@@ -335,9 +309,7 @@ std::vector<std::vector<util::Neighbor>> LccsLsh::QueryBatch(
           util::TopK topk(k);
           const std::vector<LccsCandidate>& list = cands[q];
           for (size_t s = 0; s < list.size(); ++s) {
-            const int32_t id = list[s].id;
-            if (deleted != nullptr && deleted[id] != 0) continue;
-            topk.Push(id, dists[offsets[q] + s]);
+            topk.Push(list[s].id, dists[offsets[q] + s]);
           }
           results[q] = topk.Sorted();
         }

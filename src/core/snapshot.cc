@@ -51,8 +51,8 @@ std::vector<util::Neighbor> Snapshot::QueryDelta(const float* query,
                                                  size_t k) const {
   if (delta_len_ == 0 || k == 0) return {};
   // Gather the slots live at version_ and verify them in one batched SIMD
-  // pass. Candidates are offered in slot (= insert) order, matching the
-  // tie-breaking of the bitmap-filtered scan this replaces.
+  // pass. Candidates are offered in slot (= insert) order, so ties break
+  // by ascending global id.
   std::vector<int32_t> cand;
   cand.reserve(delta_len_);
   for (size_t s = 0; s < delta_len_; ++s) {
@@ -106,9 +106,9 @@ std::vector<util::Neighbor> Snapshot::Query(const float* query,
   std::vector<util::Neighbor> stat;
   if (epoch_ != nullptr && epoch_->index != nullptr) {
     // Over-fetch by the number of epoch rows stamped at acquisition: the
-    // wrapped index filters only the frozen base bitmap, so at most
-    // epoch_overfetch_ of its answers can be stamped away below — k
-    // survivors always remain when they exist.
+    // wrapped index knows nothing of deletion, so at most epoch_overfetch_
+    // of its answers can be stamped away below — k survivors always remain
+    // when they exist.
     stat = FilterEpoch(epoch_->index->Query(query, k + epoch_overfetch_), k);
   }
   std::vector<util::Neighbor> delta = QueryDelta(query, k);

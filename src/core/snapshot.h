@@ -52,18 +52,18 @@ struct DeltaBuffer {
 };
 
 /// One consolidation generation of a DynamicIndex: the static snapshot the
-/// wrapped AnnIndex was built over, plus two tombstone layers. `deleted` is
-/// the *base* bitmap — rows already dead when the epoch was installed —
-/// frozen afterwards (it is the bitmap the wrapped index filters through,
-/// and snapshot queries read it lock-free). Removes that land after the
-/// install stamp `deleted_at` with their mutation version instead, so every
-/// snapshot filters exactly the removes at or before its own version.
+/// wrapped AnnIndex was built over, plus one version stamp per row. The
+/// wrapped index knows nothing of the stamps; snapshot queries filter its
+/// answers through them, so every snapshot drops exactly the removes at or
+/// before its own version.
 struct EpochState {
   dataset::Dataset data;           ///< snapshot (queries member unused)
   std::vector<int32_t> ids;        ///< row -> global id, strictly ascending
-  std::vector<uint8_t> deleted;    ///< base tombstones, frozen at install
-  /// Row -> version of the post-install mutation that removed it; 0 = not
-  /// removed since install. Same visibility rule as DeltaBuffer::deleted_at.
+  /// Row -> version at which it died; 0 = live. Same visibility rule as
+  /// DeltaBuffer::deleted_at. Removes after the install stamp their own
+  /// mutation version; rows already dead when the epoch installs (removes
+  /// that raced the consolidation) and rows loaded as tombstones carry a
+  /// stamp at or below the version of every snapshot that can see them.
   std::unique_ptr<std::atomic<uint64_t>[]> deleted_at;
   std::unique_ptr<baselines::AnnIndex> index;  ///< null when no rows
 };
@@ -83,11 +83,12 @@ struct EpochState {
 ///
 /// Query semantics match DynamicIndex::Query at the acquisition point
 /// exactly: top-k over (epoch ∪ delta prefix) ∖ {tombstones at or before
-/// version()}, merged by (distance, global id). Epoch-row removes that
-/// happened after the install are filtered *post*-query: the wrapped index
-/// answers k + overfetch (overfetch = stamped epoch rows at acquisition, at
-/// most the tombstones one consolidation cycle accumulates), the stamped
-/// rows are dropped, and the survivors truncated back to k — exact for the
+/// version()}, merged by (distance, global id). Epoch tombstones are
+/// filtered *post*-query, the only deletion mechanism there is: the wrapped
+/// index answers k + overfetch (overfetch = stamped epoch rows at
+/// acquisition — rows dead at install plus those removed since, bounded by
+/// the tombstones one consolidation cycle accumulates), the stamped rows are
+/// dropped, and the survivors truncated back to k — exact for the
 /// exhaustive configurations the oracle tests replay.
 class Snapshot {
  public:
@@ -111,8 +112,8 @@ class Snapshot {
  private:
   friend class DynamicIndex;
 
-  /// Epoch results with post-install removes at or before version_ dropped
-  /// and row ids remapped to global ids, truncated to k.
+  /// Epoch results with rows stamped at or before version_ dropped and row
+  /// ids remapped to global ids, truncated to k.
   std::vector<util::Neighbor> FilterEpoch(std::vector<util::Neighbor> stat,
                                           size_t k) const;
   /// Brute-force top-k over the live pinned delta prefix, global ids.

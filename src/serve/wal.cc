@@ -221,11 +221,19 @@ void WriteAheadLog::CloseSegmentLocked() {
   }
 }
 
+void WriteAheadLog::ThrowIfFailedLocked() const {
+  if (!failure_.empty()) {
+    throw std::runtime_error("WAL: log failed at an earlier fsync: " +
+                             failure_);
+  }
+}
+
 void WriteAheadLog::Append(const Record& record) {
   std::lock_guard<std::mutex> lock(mu_);
   if (!recovered_) {
     throw std::runtime_error("WAL: Recover() must run before Append()");
   }
+  ThrowIfFailedLocked();
   if (record.version != next_version_) {
     throw std::runtime_error("WAL: non-dense append: got version " +
                              std::to_string(record.version) + ", expected " +
@@ -268,14 +276,26 @@ void WriteAheadLog::Append(const Record& record) {
 
 bool WriteAheadLog::Sync() {
   std::lock_guard<std::mutex> lock(mu_);
+  ThrowIfFailedLocked();
   return SyncLocked();
 }
 
 bool WriteAheadLog::SyncLocked() {
   if (fd_ < 0 || pending_records_ == 0) return false;
-  Failpoint("wal:fsync:before");
-  storage::SyncFd(fd_, segment_path_);
-  Failpoint("wal:fsync:after");
+  try {
+    Failpoint("wal:fsync:before");
+    storage::SyncFd(fd_, segment_path_);
+    Failpoint("wal:fsync:after");
+  } catch (const std::exception& e) {
+    // After a failed fsync the kernel may already have dropped the dirty
+    // pages, so a retry that "succeeds" proves nothing about them. Latch:
+    // no later Append or Sync may claim durability on this log.
+    failure_ = *e.what() != '\0' ? e.what() : "unknown error";
+    throw;
+  } catch (...) {
+    failure_ = "unknown error";
+    throw;
+  }
   pending_records_ = 0;
   ++stats_.fsyncs;
   return true;

@@ -159,7 +159,10 @@ class WriteAheadLog {
   void Append(const Record& record);
 
   /// fsyncs the current segment if any records were appended since the
-  /// last sync. Returns true when an fsync actually ran.
+  /// last sync. Returns true when an fsync actually ran. A failed fsync
+  /// latches the log: that Sync and every later Append or Sync throw
+  /// std::runtime_error naming the first failure, since pages the kernel
+  /// dropped after the error would make any retry's success a lie.
   bool Sync();
 
   /// Records appended since the last fsync (0 = everything durable).
@@ -307,6 +310,8 @@ class WriteAheadLog {
 
  private:
   void Failpoint(const char* site) const;
+  /// Throws once a failed fsync has latched the log (failure_ set).
+  void ThrowIfFailedLocked() const;
   void OpenSegmentLocked(uint64_t first_version);
   void CloseSegmentLocked();
   bool SyncLocked();
@@ -324,6 +329,7 @@ class WriteAheadLog {
   uint64_t next_version_ = 1;          ///< version the next Append must carry
   size_t pending_records_ = 0;         ///< appended since the last fsync
   bool recovered_ = false;             ///< Recover() ran
+  std::string failure_;                ///< first fsync failure; empty = healthy
   Stats stats_;
 };
 

@@ -250,11 +250,11 @@ TEST(QueryBatchTest, AngularMetricSupported) {
 
 // ---------------------------------------------------------------------------
 // Core-level identity matrix for the cross-query batch engine:
-// {LCCS-LSH, MP-LCCS-LSH} × {probes 1, 8} × {heap, mmap store} ×
-// {with, without deleted filter}. The adapter tests above exercise the
-// default parameters; this drives core::LccsLsh::QueryBatch directly so a
-// regression in any leg (scratch reuse, union dedup, scatter verification,
-// tombstone handling) is pinned to its exact configuration.
+// {LCCS-LSH, MP-LCCS-LSH} × {probes 1, 8} × {heap, mmap store}. The adapter
+// tests above exercise the default parameters; this drives
+// core::LccsLsh::QueryBatch directly so a regression in any leg (scratch
+// reuse, union dedup, scatter verification) is pinned to its exact
+// configuration.
 TEST(QueryBatchTest, CoreSchemesBitIdenticalAcrossMatrix) {
   const auto data = SmallClusters(util::Metric::kEuclidean, 127);
   const std::string flat_path =
@@ -265,57 +265,43 @@ TEST(QueryBatchTest, CoreSchemesBitIdenticalAcrossMatrix) {
   const std::shared_ptr<const storage::VectorStore> mmap_store =
       storage::MmapStore::Open(flat_path, open_options);
 
-  std::vector<uint8_t> deleted(data.n(), 0);
-  for (size_t i = 0; i < deleted.size(); i += 3) deleted[i] = 1;
-
   const size_t k = 10;
   const size_t lambda = 80;
   for (const size_t probes : {size_t{1}, size_t{8}}) {
     for (const bool use_mmap : {false, true}) {
-      for (const bool use_filter : {false, true}) {
-        const std::shared_ptr<const storage::VectorStore> store =
-            use_mmap ? mmap_store : data.data.store();
-        auto make_family = [&] {
-          return lsh::MakeFamily(lsh::FamilyKind::kRandomProjection,
-                                 data.dim(), 32, 8.0, 2024);
-        };
-        std::vector<std::unique_ptr<core::LccsLsh>> schemes;
-        if (probes == 1) {
-          // The single-probe class itself is only meaningful at 1 probe.
-          schemes.push_back(std::make_unique<core::LccsLsh>(
-              make_family(), data.metric));
-        }
-        core::ProbeParams pp;
-        pp.num_probes = probes;
-        schemes.push_back(std::make_unique<core::MpLccsLsh>(
-            make_family(), data.metric, pp));
+      const std::shared_ptr<const storage::VectorStore> store =
+          use_mmap ? mmap_store : data.data.store();
+      auto make_family = [&] {
+        return lsh::MakeFamily(lsh::FamilyKind::kRandomProjection, data.dim(),
+                               32, 8.0, 2024);
+      };
+      std::vector<std::unique_ptr<core::LccsLsh>> schemes;
+      if (probes == 1) {
+        // The single-probe class itself is only meaningful at 1 probe.
+        schemes.push_back(
+            std::make_unique<core::LccsLsh>(make_family(), data.metric));
+      }
+      core::ProbeParams pp;
+      pp.num_probes = probes;
+      schemes.push_back(std::make_unique<core::MpLccsLsh>(make_family(),
+                                                          data.metric, pp));
 
-        for (const auto& scheme : schemes) {
-          scheme->Build(store);
-          if (use_filter) scheme->set_deleted_filter(&deleted);
-          const std::string leg =
-              std::string("probes=") + std::to_string(probes) +
-              (use_mmap ? " mmap" : " heap") +
-              (use_filter ? " filtered" : " unfiltered");
-          std::vector<std::vector<util::Neighbor>> expected;
-          for (size_t q = 0; q < data.num_queries(); ++q) {
-            expected.push_back(
-                scheme->Query(data.queries.Row(q), k, lambda));
-            if (use_filter) {
-              for (const util::Neighbor& nb : expected.back()) {
-                ASSERT_EQ(deleted[nb.id], 0)
-                    << leg << ": tombstoned id in sequential result";
-              }
-            }
-          }
-          for (const size_t threads : {size_t{1}, size_t{3}}) {
-            const auto batched = scheme->QueryBatch(
-                data.queries.Row(0), data.num_queries(), k, lambda, threads);
-            ASSERT_EQ(batched.size(), expected.size()) << leg;
-            for (size_t q = 0; q < expected.size(); ++q) {
-              EXPECT_EQ(batched[q], expected[q])
-                  << leg << " query " << q << " threads " << threads;
-            }
+      for (const auto& scheme : schemes) {
+        scheme->Build(store);
+        const std::string leg = std::string("probes=") +
+                                std::to_string(probes) +
+                                (use_mmap ? " mmap" : " heap");
+        std::vector<std::vector<util::Neighbor>> expected;
+        for (size_t q = 0; q < data.num_queries(); ++q) {
+          expected.push_back(scheme->Query(data.queries.Row(q), k, lambda));
+        }
+        for (const size_t threads : {size_t{1}, size_t{3}}) {
+          const auto batched = scheme->QueryBatch(
+              data.queries.Row(0), data.num_queries(), k, lambda, threads);
+          ASSERT_EQ(batched.size(), expected.size()) << leg;
+          for (size_t q = 0; q < expected.size(); ++q) {
+            EXPECT_EQ(batched[q], expected[q])
+                << leg << " query " << q << " threads " << threads;
           }
         }
       }
@@ -352,9 +338,6 @@ TEST(QueryBatchTest, SeededShrinkingDedupNeverDropsCandidates) {
                         4.0, seed),
         data.metric, pp);
     scheme.Build(data.data.store());
-    std::vector<uint8_t> deleted(data.n(), 0);
-    for (size_t i = 0; i < deleted.size(); i += 5) deleted[i] = 1;
-    scheme.set_deleted_filter(&deleted);
 
     // Mismatch predicate over a subset of query indices.
     const auto mismatches = [&](const std::vector<size_t>& subset) {

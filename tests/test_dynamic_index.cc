@@ -426,6 +426,152 @@ TEST(DynamicIndexStats, SnapshotTracksMutationsAndConsolidation) {
   EXPECT_EQ(index.stats().epoch_sequence, 2u);
 }
 
+// Removes that race a consolidation: the rebuild captures its survivors,
+// then — while it is parked building the new epoch — epoch rows and a
+// captured delta row are removed. Those rows are baked into the new static
+// structure and must be stamped dead at install, so the snapshot layer's
+// over-fetch and post-filter hide them exactly as it hides removes that
+// land after the install. Every later answer must equal brute force over
+// the survivors; a snapshot taken before the install keeps its own cut; a
+// save/load round trip (tombstone bytes back to stamps) answers the same.
+void CheckRemovesRacingConsolidation(const IndexConfig& config) {
+  SCOPED_TRACE(config.name);
+  DynamicIndex::Options options;
+  options.dim = kDim;
+  options.rebuild_threshold = 1 << 30;  // no automatic consolidation
+  options.background_rebuild = false;
+  // The consolidation thread announces that it has captured (it calls the
+  // factory only after the capture) and parks until released.
+  std::atomic<bool> gate_armed{false};
+  std::promise<void> entered;
+  std::promise<void> release;
+  const std::shared_future<void> released = release.get_future().share();
+  const DynamicIndex::Factory factory = [&, released] {
+    if (gate_armed.exchange(false)) {
+      entered.set_value();
+      released.wait();
+    }
+    return config.make();
+  };
+  DynamicIndex index(factory, options);
+
+  Model model;
+  for (uint64_t payload = 0; payload < 50; ++payload) {
+    const std::vector<float> vec = VectorFromPayload(payload);
+    ASSERT_EQ(index.Insert(vec.data()), model.next_id);
+    model.Insert(model.next_id++, vec);
+    if (payload == 39) index.Consolidate();  // ids 0..39 epoch, 40..49 delta
+  }
+  const auto remove = [&](int32_t id) {
+    ASSERT_TRUE(index.Remove(id)) << id;
+    const auto it = std::find_if(
+        model.live.begin(), model.live.end(),
+        [id](const auto& entry) { return entry.first == id; });
+    ASSERT_NE(it, model.live.end());
+    model.live.erase(it);
+  };
+  remove(3);   // before the capture: consolidated away
+  remove(45);
+  const Model cut_before = model;
+  const Snapshot before = index.AcquireSnapshot();
+
+  gate_armed.store(true);
+  ASSERT_TRUE(index.TriggerRebuild());
+  entered.get_future().wait();
+  // Parked after the capture: these rows are in the epoch being built.
+  const std::vector<int32_t> raced = {0, 7, 19, 38, 41};
+  for (const int32_t id : raced) remove(id);
+  const std::vector<float> late = VectorFromPayload(50);
+  ASSERT_EQ(index.Insert(late.data()), model.next_id);  // leftover delta
+  model.Insert(model.next_id++, late);
+  release.set_value();
+  index.WaitForRebuild();
+
+  const DynamicIndex::Stats stats = index.stats();
+  EXPECT_EQ(stats.epoch_sequence, 2u);
+  EXPECT_EQ(stats.epoch_rows, 48u);  // the capture's survivors
+  EXPECT_EQ(stats.delta_rows, 1u);
+  EXPECT_EQ(stats.live, model.live.size());
+  EXPECT_EQ(stats.tombstones, raced.size());
+
+  // Queries: each raced row's own vector (its removal must not leave a
+  // hole in the top k) plus random points.
+  std::vector<float> queries;
+  for (const int32_t id : raced) {
+    const std::vector<float> vec = VectorFromPayload(static_cast<uint64_t>(id));
+    queries.insert(queries.end(), vec.begin(), vec.end());
+  }
+  util::Rng rng(4242);
+  for (int i = 0; i < 6; ++i) {
+    std::vector<float> vec(kDim);
+    rng.FillGaussian(vec.data(), vec.size());
+    queries.insert(queries.end(), vec.begin(), vec.end());
+  }
+  const size_t num_queries = queries.size() / kDim;
+  const auto oracle = [](const Model& m, const float* query, size_t k) {
+    std::vector<util::Neighbor> all;
+    for (const auto& [id, vec] : m.live) {
+      all.push_back({id, util::Distance(util::Metric::kEuclidean, vec.data(),
+                                        query, kDim)});
+    }
+    std::sort(all.begin(), all.end());
+    if (all.size() > k) all.resize(k);
+    return all;
+  };
+
+  for (const size_t k : {size_t{1}, size_t{10}, size_t{60}}) {
+    const auto batched = index.QueryBatch(queries.data(), num_queries, k, 2);
+    const auto pinned = before.QueryBatch(queries.data(), num_queries, k, 2);
+    for (size_t q = 0; q < num_queries; ++q) {
+      const float* query = queries.data() + q * kDim;
+      const auto want = oracle(model, query, k);
+      const auto got = index.Query(query, k);
+      EXPECT_EQ(got, want) << "k=" << k << " query " << q;
+      EXPECT_EQ(batched[q], want) << "k=" << k << " batched query " << q;
+      for (const util::Neighbor& nb : got) {
+        EXPECT_EQ(std::count(raced.begin(), raced.end(), nb.id), 0)
+            << "removed id " << nb.id << " returned";
+      }
+      EXPECT_EQ(pinned[q], oracle(cut_before, query, k))
+          << "pre-install snapshot left its cut, k=" << k << " query " << q;
+    }
+  }
+
+  // Save -> load: stamps collapse to tombstone bytes and come back as
+  // stamps. The epoch payload is rebuilt from the factory at load, which
+  // is deterministic for both configurations.
+  std::stringstream stream;
+  index.SerializeState(
+      stream, [](std::ostream&, const baselines::AnnIndex&) {});
+  const auto loaded = DynamicIndex::DeserializeState(
+      stream, config.make, options,
+      [&config](std::istream&, const dataset::Dataset& data) {
+        auto epoch = config.make();
+        epoch->Build(data);
+        return epoch;
+      });
+  EXPECT_EQ(loaded->stats().tombstones, raced.size());
+  EXPECT_EQ(loaded->live_count(), model.live.size());
+  for (const size_t k : {size_t{1}, size_t{10}, size_t{60}}) {
+    EXPECT_EQ(loaded->QueryBatch(queries.data(), num_queries, k, 2),
+              index.QueryBatch(queries.data(), num_queries, k, 2))
+        << "k=" << k;
+    for (size_t q = 0; q < num_queries; ++q) {
+      const float* query = queries.data() + q * kDim;
+      EXPECT_EQ(loaded->Query(query, k), index.Query(query, k))
+          << "k=" << k << " query " << q;
+    }
+  }
+}
+
+TEST(DynamicIndexConsolidation, RemovesRacingConsolidationLinearScan) {
+  CheckRemovesRacingConsolidation(ConfigsUnderTest()[0]);
+}
+
+TEST(DynamicIndexConsolidation, RemovesRacingConsolidationLccsLsh) {
+  CheckRemovesRacingConsolidation(ConfigsUnderTest()[1]);
+}
+
 // The "dataset need not outlive the index" promise survives the zero-copy
 // storage refactor even for a borrowed (non-owning) store: Build must
 // detect that the store pins nothing and snapshot it.
@@ -511,7 +657,7 @@ TEST(DynamicOracleEquivalence, ApproximateModeInvariants) {
 // λ + k - 1 candidates and *then* dropped tombstoned rows, so with enough
 // base tombstones the verified set thinned below k while live rows existed.
 // A save/load round trip is the cleanest reproduction — LoadDynamicIndex
-// collapses every stamp into the base bitmap the scheme itself filters.
+// turns every tombstone into a stamp the snapshot over-fetches by.
 // With the fix, the per-query budget grows by the tombstone count, making
 // the search exhaustive here (budget ≥ n), so the answer must equal the
 // brute-force k-NN over the survivors exactly — ids and bit-identical

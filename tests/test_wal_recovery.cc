@@ -34,6 +34,7 @@
 #include <unistd.h>
 
 #include <algorithm>
+#include <atomic>
 #include <cerrno>
 #include <cstdint>
 #include <cstdio>
@@ -797,6 +798,79 @@ TEST(WalRecovery, AppendAndRecoverContracts) {
   gap.id = 0;
   EXPECT_THROW(wal.Append(gap), std::runtime_error);
   EXPECT_THROW(wal.Recover(index.get()), std::runtime_error);  // ran twice
+}
+
+// A failed fsync latches the log. The kernel may drop the dirty pages of a
+// failed fsync, so a later fsync that "succeeds" says nothing about the
+// records the failed one covered: no later Append or Sync may pretend
+// otherwise, and no later ack may claim durability.
+TEST(WalRecovery, FailedFsyncLatchesTheLog) {
+  const uint64_t seed = 71;
+  TempDir dir;
+  auto index = MakeIndex(2, seed);
+  std::atomic<bool> armed{false};
+  WriteAheadLog::Options options;
+  options.failpoint = [&armed](const char* site) {
+    if (std::strcmp(site, "wal:fsync:before") == 0 && armed.exchange(false)) {
+      throw std::runtime_error("injected fsync failure");
+    }
+  };
+  WriteAheadLog wal(dir.path, options);
+  wal.Recover(index.get());
+  ApplyAndLog(index.get(), &wal, seed, 1, 3);  // appends, then syncs
+
+  armed = true;
+  EXPECT_THROW(ApplyAndLog(index.get(), &wal, seed, 4, 5), std::runtime_error);
+  ASSERT_FALSE(armed.load()) << "the failpoint never ran";
+  // The failpoint fires once; only the latch can refuse what follows.
+  try {
+    ApplyAndLog(index.get(), &wal, seed, 6, 6);
+    ADD_FAILURE() << "Append after a failed fsync did not throw";
+  } catch (const std::runtime_error& e) {
+    EXPECT_NE(std::string(e.what()).find("injected fsync failure"),
+              std::string::npos)
+        << e.what();
+  }
+  EXPECT_THROW(wal.Sync(), std::runtime_error);
+  EXPECT_THROW(wal.Sync(), std::runtime_error);
+}
+
+TEST(WalRecovery, FailedGroupCommitFailsEveryLaterAck) {
+  const uint64_t seed = 73;
+  TempDir dir;
+  auto index = MakeIndex(2, seed);
+  std::atomic<bool> armed{false};
+  WriteAheadLog::Options options;
+  options.fsync_policy = WriteAheadLog::FsyncPolicy::kGroupCommit;
+  options.failpoint = [&armed](const char* site) {
+    if (std::strcmp(site, "wal:fsync:before") == 0 && armed.exchange(false)) {
+      throw std::runtime_error("injected fsync failure");
+    }
+  };
+  WriteAheadLog wal(dir.path, options);
+  wal.Recover(index.get());
+
+  Server::Options server_options;
+  server_options.wal = &wal;
+  Server server(index.get(), server_options);
+  const std::vector<float> vec = VectorFromPayload(1);
+  // A healthy group acks normally.
+  EXPECT_TRUE(server.SubmitInsert(vec.data()).get().applied);
+
+  // The next group's fsync fails: its ack must break, not resolve.
+  armed = true;
+  EXPECT_THROW(server.SubmitInsert(vec.data()).get(), std::runtime_error);
+  ASSERT_FALSE(armed.load()) << "the failpoint never ran";
+
+  // Every mutation submitted after the failed group breaks its future too,
+  // inserts and removes alike, even though the failpoint no longer fires.
+  for (int i = 0; i < 4; ++i) {
+    EXPECT_THROW(server.SubmitInsert(vec.data()).get(), std::runtime_error)
+        << "insert " << i;
+    EXPECT_THROW(server.SubmitRemove(static_cast<int32_t>(i)).get(),
+                 std::runtime_error)
+        << "remove " << i;
+  }
 }
 
 TEST(WalRecovery, CheckpointRestoreIsPlacementIndependent) {
