@@ -449,11 +449,8 @@ bool DynamicIndex::ClaimRebuild() {
 
 void DynamicIndex::LaunchRebuild() {
   // A dedicated thread, NOT ThreadPool::Submit: RunRebuild blocks on mutex_
-  // (shared at capture, exclusive at install), and Submit tasks may be
-  // stolen by any thread helping to drain a ParallelRange — including a
-  // QueryBatch caller already holding mutex_ in shared mode, which would
-  // then recursively re-acquire the shared lock and self-deadlock waiting
-  // for exclusivity.
+  // (shared at capture, exclusive at install), and Submit tasks must not
+  // block — a pool worker would be held for the whole consolidation.
   std::lock_guard<std::mutex> lock(rebuild_mutex_);
   // The previous rebuild thread, if any, has already run FinishRebuild (the
   // caller won ClaimRebuild, so rebuild_in_flight_ was observed false) and

@@ -71,9 +71,8 @@ namespace core {
 /// Snapshots acquired before the install keep the retired epoch and delta
 /// buffer alive and bit-identical for as long as they are held. (A
 /// dedicated thread and not ThreadPool::Submit: the rebuild blocks on the
-/// index rwlock, which Submit's no-blocking contract forbids — a QueryBatch
-/// caller helping to drain a ParallelRange could steal the task and
-/// deadlock against the shared lock it already holds.)
+/// index rwlock, which Submit's no-blocking contract forbids, and would
+/// hold a pool worker for the whole consolidation.)
 ///
 /// Thread safety: Query/QueryBatch/AcquireSnapshot take a reader lock and
 /// may run freely in parallel; Insert/Remove take the writer lock and may

@@ -150,74 +150,52 @@ void ThreadPool::ParallelRange(size_t n, size_t parallelism,
     return;
   }
 
-  // Balanced contiguous bounds: chunk c covers [c*n/chunks, (c+1)*n/chunks),
-  // so sizes differ by at most one — no empty tail ranges when n is barely
-  // above the chunk count.
-  auto chunk_begin = [n, chunks](size_t c) { return c * n / chunks; };
-
+  // Chunks are claimed from a shared counter rather than bound to the task
+  // that runs them. The caller claims chunks alongside the workers, so the
+  // range finishes even when every worker is busy elsewhere (or the pool has
+  // a single worker), and the caller runs nothing but its own range: a
+  // caller that stole queued foreign work while waiting would add that
+  // work's whole duration to its own latency. Balanced contiguous bounds:
+  // chunk c covers [c*n/chunks, (c+1)*n/chunks), so sizes differ by at most
+  // one — no empty tail ranges when n is barely above the chunk count.
+  //
+  // The pushed tasks share the state rather than borrowing the caller's
+  // stack, because one may start after the caller has returned. It then
+  // finds no chunk left and touches nothing else; `fn` is only called for a
+  // claimed chunk, which the caller is still waiting on.
   struct State {
+    std::atomic<size_t> next{0};
     std::mutex mu;
     std::condition_variable cv;
-    size_t remaining;
+    size_t done = 0;
     std::exception_ptr error;  // first one wins
-  } state;
-  state.remaining = chunks - 1;
-
-  auto record_error = [&state](std::exception_ptr e) {
-    std::lock_guard<std::mutex> lock(state.mu);
-    if (!state.error) state.error = std::move(e);
   };
-
-  // Chunk tasks never let an exception escape into a worker loop or a
-  // stealing caller: the error is parked in the shared state and the chunk
-  // still counts down, so the owning caller always reaches remaining == 0
-  // before unwinding (the state and fn live on its stack).
-  for (size_t c = 1; c < chunks; ++c) {
-    const size_t begin = chunk_begin(c);
-    const size_t end = chunk_begin(c + 1);
-    PushTask([&fn, &state, &record_error, begin, end] {
+  const auto state = std::make_shared<State>();
+  const std::function<void(size_t, size_t)>* body = &fn;
+  // Chunk errors never escape into a worker loop: the error is parked in
+  // the state and the chunk still counts as done, so the caller always sees
+  // every chunk finish before it rethrows.
+  auto run_chunks = [state, body, n, chunks] {
+    for (;;) {
+      const size_t c = state->next.fetch_add(1, std::memory_order_relaxed);
+      if (c >= chunks) return;
+      std::exception_ptr error;
       try {
         ScopedInPoolTask guard;
-        fn(begin, end);
+        (*body)(c * n / chunks, (c + 1) * n / chunks);
       } catch (...) {
-        record_error(std::current_exception());
+        error = std::current_exception();
       }
-      std::lock_guard<std::mutex> lock(state.mu);
-      if (--state.remaining == 0) state.cv.notify_all();
-    });
-  }
-
-  // The caller takes the first chunk, then helps drain the deques until the
-  // whole range has completed — so the range finishes even if every worker
-  // is busy elsewhere (or the pool has a single worker).
-  try {
-    ScopedInPoolTask guard;
-    fn(0, chunk_begin(1));
-  } catch (...) {
-    record_error(std::current_exception());
-  }
-  for (;;) {
-    {
-      std::lock_guard<std::mutex> lock(state.mu);
-      if (state.remaining == 0) break;
+      std::lock_guard<std::mutex> lock(state->mu);
+      if (error && !state->error) state->error = std::move(error);
+      if (++state->done == chunks) state->cv.notify_all();
     }
-    try {
-      if (RunOneTask(0)) continue;
-    } catch (...) {
-      // A stolen foreign task (Submit) threw; our own chunks self-catch.
-      // Surface it from here rather than losing the stack.
-      record_error(std::current_exception());
-      continue;
-    }
-    std::unique_lock<std::mutex> lock(state.mu);
-    if (state.remaining == 0) break;
-    // In-flight chunks are running on workers; wake on completion, with a
-    // timeout to re-scan for newly stealable tasks.
-    state.cv.wait_for(lock, std::chrono::milliseconds(1),
-                      [&] { return state.remaining == 0; });
-    if (state.remaining == 0) break;
-  }
-  if (state.error) std::rethrow_exception(state.error);
+  };
+  for (size_t t = 1; t < chunks; ++t) PushTask(run_chunks);
+  run_chunks();
+  std::unique_lock<std::mutex> lock(state->mu);
+  state->cv.wait(lock, [&] { return state->done == chunks; });
+  if (state->error) std::rethrow_exception(state->error);
 }
 
 void ParallelFor(size_t n, const std::function<void(size_t, size_t)>& fn,

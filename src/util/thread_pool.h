@@ -19,9 +19,11 @@ namespace util {
 ///
 /// Each worker owns a deque: it pops its own work LIFO (cache-warm) and
 /// steals FIFO from the other workers when idle. Submitting threads also
-/// participate: ParallelRange runs chunks on the caller and lets it steal
-/// until the range completes, so progress never depends on pool capacity
-/// (the pool works even with a single hardware thread).
+/// participate: ParallelRange's caller claims chunks of its own range
+/// alongside the workers, so progress never depends on pool capacity (the
+/// pool works even with a single hardware thread). The caller never runs
+/// anyone else's queued task, so a range's latency never includes foreign
+/// work — a one-query window never waits out a consolidation's build chunk.
 ///
 /// Worker count defaults to std::thread::hardware_concurrency() and can be
 /// pinned with the LCCS_POOL_WORKERS environment variable (read once, at
@@ -39,8 +41,9 @@ class ThreadPool {
 
   /// Chunked-range submit: splits [0, n) into min(parallelism, n) balanced
   /// contiguous chunks (sizes differ by at most one — no empty tail ranges)
-  /// and runs fn(begin, end) once per chunk. The caller executes chunks too,
-  /// so at most `parallelism` threads touch the range at once;
+  /// and runs fn(begin, end) once per chunk. The caller executes chunks too
+  /// (only this range's), so at most `parallelism` threads touch the range
+  /// at once;
   /// parallelism == 0 means workers + caller. Blocks until every chunk has
   /// finished. Calls from inside a pool task run fn(0, n) inline — nested
   /// parallelism never deadlocks, it just serializes. If fn throws, the
@@ -51,13 +54,11 @@ class ThreadPool {
 
   /// Fire-and-forget task submission (round-robin across worker deques).
   /// Building block for long-lived request serving on top of the pool.
-  /// Tasks must not block indefinitely: a thread helping a ParallelRange
-  /// drain can steal any queued task, so a blocking task would stall that
-  /// caller (and occupies a worker either way). Queue work, don't park in
-  /// it. No execution guarantee at shutdown — tasks still queued when the
-  /// pool is destroyed (process exit) are dropped; a task that throws on a
-  /// worker terminates the process (std::thread semantics), one that
-  /// throws while stolen by a helping caller surfaces there.
+  /// Tasks must not block indefinitely: a blocking task occupies a worker
+  /// for as long as it waits. Queue work, don't park in it. No execution
+  /// guarantee at shutdown — tasks still queued when the pool is destroyed
+  /// (process exit) are dropped; a task that throws terminates the process
+  /// (std::thread semantics).
   void Submit(std::function<void()> task);
 
  private:

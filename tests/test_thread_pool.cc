@@ -2,6 +2,8 @@
 
 #include <atomic>
 #include <chrono>
+#include <condition_variable>
+#include <memory>
 #include <mutex>
 #include <stdexcept>
 #include <thread>
@@ -171,6 +173,63 @@ TEST(ThreadPoolTest, ExceptionInChunkPropagatesAfterRangeCompletes) {
     total.fetch_add(end - begin);
   });
   EXPECT_EQ(total.load(), kN);
+}
+
+TEST(ThreadPoolTest, CallerRunsOnlyItsOwnChunks) {
+  // Every worker is parked on a gate and one foreign task waits in every
+  // deque, ahead of the range's chunks. The range must still complete — on
+  // the caller alone — without the caller running any foreign task: one
+  // that did would add the foreign task's whole duration to the range.
+  ThreadPool& pool = ThreadPool::Instance();
+  const size_t workers = pool.num_workers();
+  struct Shared {
+    std::mutex mu;
+    std::condition_variable cv;
+    size_t parked = 0;
+    bool open = false;
+    std::vector<std::thread::id> foreign_threads;
+  };
+  const auto shared = std::make_shared<Shared>();
+  for (size_t w = 0; w < workers; ++w) {
+    pool.Submit([shared] {
+      std::unique_lock<std::mutex> lock(shared->mu);
+      ++shared->parked;
+      shared->cv.notify_all();
+      shared->cv.wait_for(lock, std::chrono::seconds(30),
+                          [&] { return shared->open; });
+    });
+  }
+  {
+    std::unique_lock<std::mutex> lock(shared->mu);
+    ASSERT_TRUE(shared->cv.wait_for(lock, std::chrono::seconds(10), [&] {
+      return shared->parked == workers;
+    }));
+  }
+  for (size_t w = 0; w < workers; ++w) {
+    pool.Submit([shared] {
+      std::lock_guard<std::mutex> lock(shared->mu);
+      shared->foreign_threads.push_back(std::this_thread::get_id());
+      shared->cv.notify_all();
+    });
+  }
+
+  std::atomic<size_t> total{0};
+  ParallelFor(64, [&](size_t begin, size_t end) {
+    total.fetch_add(end - begin);
+  });
+  EXPECT_EQ(total.load(), 64u);
+
+  std::unique_lock<std::mutex> lock(shared->mu);
+  EXPECT_TRUE(shared->foreign_threads.empty())
+      << "the caller ran a foreign task while waiting for its range";
+  shared->open = true;
+  shared->cv.notify_all();
+  ASSERT_TRUE(shared->cv.wait_for(lock, std::chrono::seconds(10), [&] {
+    return shared->foreign_threads.size() == workers;
+  }));
+  for (const std::thread::id id : shared->foreign_threads) {
+    EXPECT_NE(id, std::this_thread::get_id());
+  }
 }
 
 TEST(ThreadPoolTest, ManySmallBatchesReusePool) {
