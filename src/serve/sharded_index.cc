@@ -36,32 +36,31 @@ size_t ShardedIndex::ShardOf(int32_t id, size_t num_shards) {
 
 std::vector<util::Neighbor> ShardedSnapshot::Query(const float* query,
                                                    size_t k) const {
-  std::vector<std::vector<util::Neighbor>> per_shard(shards_.size());
-  for (size_t s = 0; s < shards_.size(); ++s) {
-    per_shard[s] = shards_[s].snapshot.Query(query, k);
-    // Local -> global is monotone (ascending within a shard), so each list
-    // stays sorted by (distance, global id) after the remap.
-    const std::vector<int32_t>& map = *shards_[s].local_to_global;
-    for (util::Neighbor& nb : per_shard[s]) {
-      nb.id = map[static_cast<size_t>(nb.id)];
-    }
-  }
-  return util::MergeSortedTopK(per_shard, k);
+  return QueryBatch(query, 1, k)[0];
 }
 
 std::vector<std::vector<util::Neighbor>> ShardedSnapshot::QueryBatch(
     const float* queries, size_t num_queries, size_t k,
     size_t num_threads) const {
-  // Scatter: every shard view answers the whole batch through its own
-  // QueryBatch (cache-blocked epoch scan + parallel delta scan on the
-  // shared pool).
+  // Scatter: one pool chunk per shard, so the S shard views answer the
+  // batch concurrently. Inside a chunk the shard's own QueryBatch (epoch
+  // index batch phases, FilterEpoch, delta scan) runs inline on the
+  // chunk's thread — the pool serializes nested ranges — so each shard's
+  // pipeline runs start to finish without barriers between its phases.
   std::vector<std::vector<std::vector<util::Neighbor>>> per_shard(
       shards_.size());
-  for (size_t s = 0; s < shards_.size(); ++s) {
-    per_shard[s] =
-        shards_[s].snapshot.QueryBatch(queries, num_queries, k, num_threads);
-  }
-  // Gather: remap + S-way merge per query, fanned out over the pool.
+  util::ParallelFor(
+      shards_.size(),
+      [&](size_t begin, size_t end) {
+        for (size_t s = begin; s < end; ++s) {
+          per_shard[s] = shards_[s].snapshot.QueryBatch(queries, num_queries,
+                                                        k, num_threads);
+        }
+      },
+      num_threads);
+  // Gather: remap + S-way merge per query, fanned out over the pool. Local
+  // -> global is monotone (ascending within a shard), so each list stays
+  // sorted by (distance, global id) after the remap.
   std::vector<std::vector<util::Neighbor>> results(num_queries);
   util::ParallelFor(
       num_queries,
@@ -150,18 +149,26 @@ void ShardedIndex::Build(const dataset::Dataset& data) {
     shard_rows.push_back(std::make_shared<std::vector<int32_t>>());
     const size_t begin = s * data.n() / S;
     const size_t end = (s + 1) * data.n() / S;
-    if (begin == end) continue;  // never-built shard serves empty
     shard_rows[s]->resize(end - begin);
     for (size_t r = 0; r < end - begin; ++r) {
       (*shard_rows[s])[r] = static_cast<int32_t>(begin + r);
     }
-    dataset::Dataset slice;
-    slice.name = data.name + "/shard" + std::to_string(s);
-    slice.metric = data.metric;
-    slice.data = storage::VectorStoreRef(
-        std::make_shared<storage::SliceStore>(store, begin, end - begin));
-    shards[s]->Build(slice);
   }
+  // One pool chunk per shard: the S builds touch disjoint objects and run
+  // concurrently, each shard's own build phases inline on its chunk.
+  util::ParallelFor(S, [&](size_t first, size_t last) {
+    for (size_t s = first; s < last; ++s) {
+      const size_t begin = s * data.n() / S;
+      const size_t end = (s + 1) * data.n() / S;
+      if (begin == end) continue;  // never-built shard serves empty
+      dataset::Dataset slice;
+      slice.name = data.name + "/shard" + std::to_string(s);
+      slice.metric = data.metric;
+      slice.data = storage::VectorStoreRef(
+          std::make_shared<storage::SliceStore>(store, begin, end - begin));
+      shards[s]->Build(slice);
+    }
+  });
 
   std::vector<Location> locations(data.n());
   for (size_t s = 0; s < S; ++s) {
@@ -350,15 +357,18 @@ void ShardedIndex::RestoreCheckpointState(const CheckpointState& state) {
     locations[static_cast<size_t>(id)] =
         Location{static_cast<uint32_t>(s), static_cast<int32_t>(local)};
   }
-  for (size_t s = 0; s < S; ++s) {
-    if (shard_rows[s]->empty()) continue;
-    dataset::Dataset slice;
-    slice.name = "checkpoint/shard" + std::to_string(s);
-    slice.metric = state.metric;
-    slice.data = storage::VectorStoreRef(
-        std::make_shared<storage::InMemoryStore>(std::move(shard_data[s])));
-    shards[s]->Build(slice);
-  }
+  // Same per-shard build fan-out as Build().
+  util::ParallelFor(S, [&](size_t first, size_t last) {
+    for (size_t s = first; s < last; ++s) {
+      if (shard_rows[s]->empty()) continue;
+      dataset::Dataset slice;
+      slice.name = "checkpoint/shard" + std::to_string(s);
+      slice.metric = state.metric;
+      slice.data = storage::VectorStoreRef(
+          std::make_shared<storage::InMemoryStore>(std::move(shard_data[s])));
+      shards[s]->Build(slice);
+    }
+  });
 
   auto lock = WriteLock();
   options_.metric = state.metric;

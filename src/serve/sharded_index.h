@@ -31,11 +31,17 @@ class ShardedSnapshot {
 
   /// k nearest surviving neighbors at state_version(), global ids: each
   /// shard view answers for k, results are remapped and S-way merged —
-  /// identical to ShardedIndex::Query at the acquisition point.
+  /// identical to ShardedIndex::Query at the acquisition point. Runs as a
+  /// QueryBatch of one, so a single query fans out over the shards too.
   std::vector<util::Neighbor> Query(const float* query, size_t k) const;
 
-  /// Batched queries over the same cut; identical per row to Query by
-  /// construction.
+  /// Batched queries over the same cut. The shards run concurrently, one
+  /// pool chunk each (at most `num_threads` at once; 0 = pool workers +
+  /// caller): a chunk runs its shard's whole core::Snapshot::QueryBatch
+  /// inline on its thread, since the pool serializes nested ranges. With
+  /// one shard there is nothing to fan out and the shard's batch phases use
+  /// the pool instead. The per-query remap and S-way merge follow. Results
+  /// do not depend on the batch grouping: row i equals Query(row i).
   std::vector<std::vector<util::Neighbor>> QueryBatch(
       const float* queries, size_t num_queries, size_t k,
       size_t num_threads = 0) const;
@@ -157,9 +163,10 @@ class ShardedIndex : public baselines::AnnIndex {
 
   /// Bulk load: rows get global ids 0..n-1, are range-partitioned across
   /// the shards, and each non-empty shard is built over a zero-copy slice
-  /// of the dataset's shared store. Previous contents are discarded
-  /// (in-flight shard rebuilds are drained first) and the state version
-  /// resets to 0.
+  /// of the dataset's shared store — the S builds concurrently, one pool
+  /// chunk per shard, like the query fan-out. Previous contents are
+  /// discarded (in-flight shard rebuilds are drained first) and the state
+  /// version resets to 0.
   void Build(const dataset::Dataset& data) override;
 
   /// k nearest surviving neighbors by true distance, global ids.
@@ -249,9 +256,10 @@ class ShardedIndex : public baselines::AnnIndex {
   /// had range-placed via Build, since placement is invisible in results),
   /// dead ids resolve to a sentinel location every shard reports as
   /// unknown, and the id/version counters resume exactly where the cut was
-  /// taken. Fresh shards are built outside the lock, then installed under
-  /// one writer-lock hold. Throws std::runtime_error on an inconsistent
-  /// state (shape mismatch, ids out of range or not ascending).
+  /// taken. Fresh shards are built outside the lock (concurrently, as in
+  /// Build), then installed under one writer-lock hold. Throws
+  /// std::runtime_error on an inconsistent state (shape mismatch, ids out
+  /// of range or not ascending).
   void RestoreCheckpointState(const CheckpointState& state);
 
   // --- Consolidation scheduling -------------------------------------------

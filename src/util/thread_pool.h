@@ -85,9 +85,10 @@ class ThreadPool {
 /// 0). Thin wrapper over ThreadPool::ParallelRange — same signature as the
 /// old spawn-per-call implementation, so the embarrassingly parallel offline
 /// work (ground-truth computation, bulk hashing) and the batched query
-/// engine (AnnIndex::QueryBatch) speed up without caller changes. Per-query
-/// latency figures in the paper remain single-thread: sequential Query calls
-/// never go through here.
+/// engine (AnnIndex::QueryBatch) speed up without caller changes. The
+/// paper's single-index Query never goes through here, so its per-query
+/// latency figures remain single-thread; a sharded Query
+/// (serve::ShardedSnapshot) does, fanning its shards out over the pool.
 void ParallelFor(size_t n, const std::function<void(size_t, size_t)>& fn,
                  size_t num_threads = 0);
 

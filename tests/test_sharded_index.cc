@@ -1,14 +1,18 @@
 // Sharding unit tests for serve::ShardedIndex: global ↔ local id mapping,
 // k larger than any shard, empty shards, the S = 1 degenerate case (must be
-// bit-identical to a single core::DynamicIndex), and the consolidation
-// scheduler (MaintainShards policy over DynamicIndex::stats snapshots).
+// bit-identical to a single core::DynamicIndex), the consolidation
+// scheduler (MaintainShards policy over DynamicIndex::stats snapshots), and
+// the shard fan-out (shards build and answer concurrently).
 //
 // Shard configurations run in exhaustive-verification mode where oracle
 // identity is asserted, exactly like tests/test_dynamic_index.cc.
 
 #include <algorithm>
+#include <chrono>
+#include <condition_variable>
 #include <cstdio>
 #include <memory>
+#include <mutex>
 #include <string>
 #include <vector>
 
@@ -367,6 +371,103 @@ TEST(ShardedIndexStorage, ShardsShareOneMmapStoreBitIdentically) {
         << "query " << q;
   }
   std::remove(flat_path.c_str());
+}
+
+// A rendezvous the shards of one call meet at: every arrival waits, for at
+// most 10 s, until `expected` arrivals are in. A serial fan-out leaves the
+// first shard waiting alone, so its wait times out.
+struct Rendezvous {
+  std::mutex mu;
+  std::condition_variable cv;
+  size_t expected = 0;
+  size_t arrived = 0;
+  size_t timeouts = 0;
+
+  /// Starts a round for `shards` arrivals; the previous round's call has
+  /// returned, so none of its arrivals still waits.
+  void Arm(size_t shards) {
+    std::lock_guard<std::mutex> lock(mu);
+    expected = shards;
+    arrived = 0;
+    timeouts = 0;
+  }
+  void Arrive() {
+    std::unique_lock<std::mutex> lock(mu);
+    if (expected == 0) return;  // unarmed: pass straight through
+    ++arrived;
+    cv.notify_all();
+    if (!cv.wait_for(lock, std::chrono::seconds(10),
+                     [&] { return arrived >= expected; })) {
+      ++timeouts;
+    }
+  }
+  /// True when the round's shards all arrived and none waited in vain.
+  bool Met() {
+    std::lock_guard<std::mutex> lock(mu);
+    return arrived == expected && timeouts == 0;
+  }
+};
+
+class RendezvousLinearScan : public baselines::LinearScan {
+ public:
+  explicit RendezvousLinearScan(std::shared_ptr<Rendezvous> rendezvous)
+      : rendezvous_(std::move(rendezvous)) {}
+
+  void Build(const dataset::Dataset& data) override {
+    rendezvous_->Arrive();
+    baselines::LinearScan::Build(data);
+  }
+
+  std::vector<std::vector<util::Neighbor>> QueryBatch(
+      const float* queries, size_t num_queries, size_t k,
+      size_t num_threads = 0) const override {
+    rendezvous_->Arrive();
+    return baselines::LinearScan::QueryBatch(queries, num_queries, k,
+                                             num_threads);
+  }
+
+ private:
+  std::shared_ptr<Rendezvous> rendezvous_;
+};
+
+// The shards of one call run concurrently, one pool chunk each: a build
+// (bulk load and checkpoint restore), a batch, and a single query — which
+// runs as a batch of one — all meet both shards at the rendezvous.
+TEST(ShardedIndexConcurrency, ShardsRunConcurrently) {
+  const auto data = MakeData(40, 53, 4);
+  auto rendezvous = std::make_shared<Rendezvous>();
+  ShardedIndex::Options options;
+  options.num_shards = 2;
+  ShardedIndex index(
+      [rendezvous] {
+        return std::make_unique<RendezvousLinearScan>(rendezvous);
+      },
+      options);
+
+  rendezvous->Arm(2);
+  index.Build(data);
+  EXPECT_TRUE(rendezvous->Met()) << "Build";
+
+  rendezvous->Arm(2);
+  const auto batched =
+      index.QueryBatch(data.queries.data(), data.num_queries(), 3, 0);
+  EXPECT_TRUE(rendezvous->Met()) << "QueryBatch";
+  ASSERT_EQ(batched.size(), data.num_queries());
+
+  rendezvous->Arm(2);
+  const auto single = index.Query(data.queries.Row(0), 3);
+  EXPECT_TRUE(rendezvous->Met()) << "Query";
+  EXPECT_EQ(single, batched[0]);
+
+  // Checkpoint restore hash-places the 40 rows; both shards receive some.
+  const ShardedIndex::CheckpointState state = index.CaptureCheckpointState();
+  rendezvous->Arm(2);
+  index.RestoreCheckpointState(state);
+  EXPECT_TRUE(rendezvous->Met()) << "RestoreCheckpointState";
+
+  rendezvous->Arm(0);
+  EXPECT_EQ(index.QueryBatch(data.queries.data(), data.num_queries(), 3, 0),
+            batched);
 }
 
 }  // namespace
